@@ -13,6 +13,11 @@ go vet ./...
 go test -timeout 5m ./...
 go test -race -timeout 10m ./...
 
+# The benchmark harness is its own Go module (perfbench/go.mod), so the root
+# `go test ./...` never builds it: vet and self-test it here, or an API it
+# uses could vanish without a signal.
+(cd perfbench && go vet ./... && go test -timeout 5m ./...)
+
 # Singleflight hammer, explicitly under the race detector: concurrent
 # identical queries with mid-flight cancellation through the cross-query
 # cache (DESIGN.md §9's abort protocol only bites with the detector on).

@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment id: fig1,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,parallel,cache,update,reorder,madden,ablate-entry,methods,marginals,exactness or all")
+		exp         = flag.String("exp", "all", "experiment id: fig1,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,parallel,cache,update,madden,ablate-entry,methods,marginals,exactness or all")
 		domains     = flag.String("domains", "", "comma-separated aid-domain sweep (default 1000..10000)")
 		full        = flag.Int("full", 0, "full-dataset author count for fig10/fig11/madden")
 		seed        = flag.Int64("seed", 1, "generator seed")
@@ -39,9 +39,6 @@ func main() {
 		useCache    = flag.Bool("cache", true, "run the cached leg of the cache experiment (false = baseline-only ablation)")
 		cacheJSON   = flag.String("cache-json", "BENCH_cache.json", "file for the cache experiment's JSON report (empty to skip)")
 		updateJSON  = flag.String("update-json", "BENCH_update.json", "file for the update experiment's JSON report (empty to skip)")
-		reorderJSON = flag.String("reorder-json", "BENCH_reorder.json", "file for the reorder experiment's JSON report (empty to skip)")
-		maxGrowth   = flag.Float64("reorder-max-growth", 0, "sifting growth bound for the reorder experiment (0 = obdd default)")
-		maxRounds   = flag.Int("reorder-rounds", 0, "max sifting rounds for the reorder experiment (0 = obdd default)")
 		timeout     = flag.Duration("timeout", 0, "watchdog per experiment (0 = none); a stuck experiment aborts the run with exit 1")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -84,8 +81,6 @@ func main() {
 	opts.Seed = *seed
 	opts.Parallelism = *parallelism
 	opts.Cache = *useCache
-	opts.ReorderMaxGrowth = *maxGrowth
-	opts.ReorderRounds = *maxRounds
 	if *domains != "" {
 		opts.Domains = nil
 		for _, s := range strings.Split(*domains, ",") {
@@ -183,26 +178,10 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "mvbench: wrote %s\n", *updateJSON)
 		}
-		if id == "reorder" && *reorderJSON != "" {
-			f, err := os.Create(*reorderJSON)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := bench.WriteReorderJSON(f, tab); err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "mvbench: wrote %s\n", *reorderJSON)
-		}
 	}
 
 	if *exp == "all" {
-		for _, id := range []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "parallel", "cache", "update", "reorder", "madden", "ablate-entry", "methods", "marginals", "exactness"} {
+		for _, id := range []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "parallel", "cache", "update", "madden", "ablate-entry", "methods", "marginals", "exactness"} {
 			run(id)
 		}
 		return

@@ -25,7 +25,6 @@ import (
 	"mvdb/internal/dblp"
 	"mvdb/internal/engine"
 	"mvdb/internal/mvindex"
-	"mvdb/internal/obdd"
 	"mvdb/internal/plan"
 	"mvdb/internal/ucq"
 )
@@ -48,18 +47,8 @@ func main() {
 		saveIndex   = flag.String("save-index", "", "write the compiled MV-index to this file and continue")
 		loadIndex   = flag.String("load-index", "", "load a previously saved MV-index instead of generating data")
 		parallelism = flag.Int("parallelism", 0, "workers for OBDD compilation and per-answer query loops (0 = GOMAXPROCS, 1 = sequential)")
-
-		reorder          = flag.String("reorder", "off", "dynamic variable reordering after compile: off | once | converge")
-		reorderMaxGrowth = flag.Float64("reorder-max-growth", obdd.DefaultMaxGrowth, "sifting growth bound (times the pre-sift node count)")
-		reorderRounds    = flag.Int("reorder-rounds", obdd.DefaultMaxRounds, "max sifting rounds in converge mode")
 	)
 	flag.Parse()
-
-	reorderMode, merr := obdd.ParseReorderMode(*reorder)
-	if merr != nil {
-		fatal(merr)
-	}
-	reorderOpts := obdd.ReorderOptions{Mode: reorderMode, MaxGrowth: *reorderMaxGrowth, MaxRounds: *reorderRounds}
 
 	t0 := time.Now()
 	var (
@@ -77,14 +66,6 @@ func main() {
 		}
 		tr = ix.Translation()
 		tr.Parallelism = *parallelism
-		if reorderMode != obdd.ReorderOff && !ix.Reordered() {
-			if st, serr := ix.Sift(reorderOpts); serr != nil {
-				fatal(serr)
-			} else if st.NodesBefore > 0 {
-				fmt.Fprintf(os.Stderr, "reordered: %d -> %d nodes in %v\n",
-					st.NodesBefore, st.NodesAfter, st.Duration.Round(time.Millisecond))
-			}
-		}
 	} else {
 		fmt.Fprintf(os.Stderr, "generating synthetic DBLP (%d authors, views %s)...\n", *authors, *views)
 		data, err = dblp.Generate(dblp.Config{NumAuthors: *authors, Seed: *seed})
@@ -112,7 +93,6 @@ func main() {
 			fatal(err)
 		}
 		tr.Parallelism = *parallelism
-		tr.Reorder = reorderOpts
 		ix, err = mvindex.Build(tr)
 		if err != nil {
 			fatal(err)
@@ -158,10 +138,6 @@ func main() {
 			st, _ := s.tr.CompileStats()
 			fmt.Printf("index: %d nodes, %d blocks, P0(W)=%.6f; compile: %d concat, %d synth, %d lineage falls\n",
 				s.ix.Size(), s.ix.Blocks(), 1-s.ix.ProbNotW(), st.ConcatSteps, st.SynthSteps, st.LineageFalls)
-			if ri := s.ix.ReorderInfo(); ri != nil {
-				fmt.Printf("reorder: %s (%s), %d -> %d nodes, %d rounds, %d swaps, %.1fms, %d delta reuses\n",
-					ri.Mode, ri.Provenance, ri.NodesBefore, ri.NodesAfter, ri.Rounds, ri.Swaps, ri.SiftMillis, ri.DeltaReuses)
-			}
 		case strings.HasPrefix(line, `\explain `):
 			if err := s.explain(strings.TrimPrefix(line, `\explain `)); err != nil {
 				fmt.Printf("error: %v\n", err)

@@ -50,7 +50,6 @@ import (
 	"mvdb/internal/core"
 	"mvdb/internal/dblp"
 	"mvdb/internal/mvindex"
-	"mvdb/internal/obdd"
 	"mvdb/internal/qcache"
 	"mvdb/internal/server"
 )
@@ -62,10 +61,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "generator seed")
 		loadIndex = flag.String("load-index", "", "serve a previously saved MV-index instead of generating data")
 		par       = flag.Int("parallelism", 0, "workers for OBDD compilation (0 = GOMAXPROCS, 1 = sequential)")
-
-		reorder          = flag.String("reorder", "off", "dynamic variable reordering after compile: off | once | converge")
-		reorderMaxGrowth = flag.Float64("reorder-max-growth", obdd.DefaultMaxGrowth, "sifting growth bound (times the pre-sift node count)")
-		reorderRounds    = flag.Int("reorder-rounds", obdd.DefaultMaxRounds, "max sifting rounds in converge mode")
 
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-request evaluation timeout (0 = none); expiry returns 408")
 		maxInflight  = flag.Int("max-inflight", 64, "concurrently evaluating requests before shedding with 503 (0 = unlimited)")
@@ -88,34 +83,13 @@ func main() {
 	)
 	flag.Parse()
 
-	reorderMode, merr := obdd.ParseReorderMode(*reorder)
-	if merr != nil {
-		fmt.Fprintln(os.Stderr, "mvdbd:", merr)
-		os.Exit(1)
-	}
-	reorderOpts := obdd.ReorderOptions{Mode: reorderMode, MaxGrowth: *reorderMaxGrowth, MaxRounds: *reorderRounds}
-
 	// build produces the index when no usable snapshot exists. With a WAL it
 	// doubles as the recovery base, so it must be deterministic in the flags:
 	// either the saved index file or the seeded DBLP generator.
 	build := func() (*mvindex.Index, error) {
 		if *loadIndex != "" {
 			fmt.Fprintf(os.Stderr, "loading MV-index from %s...\n", *loadIndex)
-			ix, err := mvindex.LoadFile(*loadIndex)
-			if err != nil {
-				return nil, err
-			}
-			// A snapshot of a sifted index already carries its learned order;
-			// only sift indexes saved under the static Π.
-			if reorderMode != obdd.ReorderOff && !ix.Reordered() {
-				if st, err := ix.Sift(reorderOpts); err != nil {
-					return nil, err
-				} else if st.NodesBefore > 0 {
-					fmt.Fprintf(os.Stderr, "reordered: %d -> %d nodes in %v\n",
-						st.NodesBefore, st.NodesAfter, st.Duration.Round(time.Millisecond))
-				}
-			}
-			return ix, nil
+			return mvindex.LoadFile(*loadIndex)
 		}
 		fmt.Fprintf(os.Stderr, "generating synthetic DBLP (%d authors)...\n", *authors)
 		data, err := dblp.Generate(dblp.Config{NumAuthors: *authors, Seed: *seed})
@@ -131,7 +105,6 @@ func main() {
 			return nil, err
 		}
 		tr.Parallelism = *par
-		tr.Reorder = reorderOpts
 		return mvindex.Build(tr)
 	}
 

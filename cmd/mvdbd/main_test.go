@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -151,4 +152,21 @@ func TestFlagPropagation(t *testing.T) {
 		t.Errorf("missing structured reason: %s", body)
 	}
 	_ = fmt.Sprint() // keep fmt for future debugging output
+}
+
+// TestReorderFlagRejected: dynamic variable reordering is gone, so its flag
+// is unknown and the binary refuses to start rather than ignore it.
+func TestReorderFlagRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the real binary")
+	}
+	bin := buildMvdbd(t)
+	out, err := exec.Command(bin, "-addr", freePort(t), "-authors", "120", "-reorder", "once").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("-reorder once: err %v, want exit status 2; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -reorder") {
+		t.Fatalf("-reorder once: no flag error in output:\n%s", out)
+	}
 }

@@ -49,10 +49,6 @@ type Options struct {
 	// CacheRequests and CacheDistinct shape the cache experiment's Zipf mix:
 	// CacheRequests total requests over CacheDistinct distinct queries.
 	CacheRequests, CacheDistinct int
-	// ReorderMaxGrowth and ReorderRounds tune the sifting pass of the
-	// reorder experiment (0 = obdd defaults).
-	ReorderMaxGrowth float64
-	ReorderRounds    int
 }
 
 // Defaults returns the sweep the paper ran: domains 1000..10000 and a large

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mvdb/internal/engine"
-	"mvdb/internal/obdd"
 	"mvdb/internal/ucq"
 )
 
@@ -38,14 +37,6 @@ type Translation struct {
 	// first evaluation (it is read when W is compiled and on each Query).
 	Parallelism int
 
-	// Reorder configures dynamic OBDD variable reordering of the MV-index:
-	// when Mode is not ReorderOff, mvindex.Build runs a per-block Rudell
-	// sifting pass after compiling W and the index keeps the learned order.
-	// It does not affect the translation's own global OBDD compilation
-	// (ensureOBDD), which the index sift replaces wholesale. Carried over by
-	// Retranslate.
-	Reorder obdd.ReorderOptions
-
 	NVRelations       []string // one per non-empty view, in view order
 	PrunedIndependent int      // view tuples with w = 1 skipped
 	DenialViews       []string // views handled by the denial optimization
@@ -72,7 +63,6 @@ func (t *Translation) Retranslate() (*Translation, error) {
 		return nil, err
 	}
 	nt.Parallelism = t.Parallelism
-	nt.Reorder = t.Reorder
 	return nt, nil
 }
 

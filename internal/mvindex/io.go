@@ -26,12 +26,16 @@ import (
 // structural batch after a restore recompiles in full and re-records.
 // Version 1 snapshots still load (query-only: no source, LastSeq 0).
 //
-// Version 3 adds the reordering provenance of a sifted index. The learned
-// variable order itself travels inside the manager snapshot (obdd.Snapshot
-// stores the order), so even v2 readers restore the right OBDD; the v3
-// fields let recovery and replica bootstrap know the order is learned —
-// they skip the sifting search and delta recompiles keep inheriting the
-// order. Version 1 and 2 snapshots still load.
+// Version 3 added a Reordered flag and a Reorder record for dynamically
+// reordered (sifted) indexes. v3 is still the magic written, so older
+// readers keep accepting new snapshots (they see those fields as zero). v3
+// snapshots carrying the fields still load with no extra code: gob skips
+// fields the receiver does not declare, and the sifted order travels inside
+// the manager snapshot (obdd.Snapshot stores the order), so the restored
+// OBDD is exactly the saved one, chain blocks included (sifting only
+// permuted variables within a block). A restored index has no block record,
+// so its first structural batch recompiles W in full under the static Π.
+// Version 1 and 2 snapshots still load.
 type indexSnapshot struct {
 	Magic       string
 	DB          engine.DatabaseSnapshot
@@ -44,10 +48,6 @@ type indexSnapshot struct {
 	Source    core.MVDBSnapshot
 	Opts      core.TranslateOptions
 	LastSeq   uint64
-
-	// v3 fields; zero on earlier snapshots.
-	Reordered bool
-	Reorder   ReorderInfo
 }
 
 const (
@@ -80,10 +80,6 @@ func (ix *Index) SaveSeq(w io.Writer, lastSeq uint64) error {
 			s.HasSource = true
 			s.Source = ms
 		}
-	}
-	if ix.reorder != nil {
-		s.Reordered = true
-		s.Reorder = *ix.ReorderInfo()
 	}
 	if err := gob.NewEncoder(bw).Encode(s); err != nil {
 		return fmt.Errorf("mvindex: encoding index: %w", err)
@@ -138,16 +134,6 @@ func ReadSeq(r io.Reader) (*Index, uint64, error) {
 	ix, err := Build(tr)
 	if err != nil {
 		return nil, 0, err
-	}
-	if s.Reordered {
-		// The learned order was restored with the manager; mark the index so
-		// no sifting search re-runs and delta recompiles keep inheriting it.
-		ri := s.Reorder
-		ri.Provenance = "snapshot"
-		if ri.BlockProvenance == nil {
-			ri.BlockProvenance = map[string]int{}
-		}
-		ix.reorder = &ri
 	}
 	return ix, s.LastSeq, nil
 }

@@ -96,14 +96,6 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 		changed, derr := ix.tr.ApplyDelta(batch)
 		if derr == nil {
 			newTr := ix.tr
-			// A sifted index feeds its learned order back into the recompile:
-			// surviving variables keep the learned relative order and new ones
-			// slot in next to their Π-neighbors, so clean-block imports still
-			// order-check and dirty blocks inherit the good order instead of
-			// regressing to static Π.
-			if ix.reorder != nil {
-				copts.Order = obdd.MergeOrder(ix.m.Order(), nil, obdd.TupleOrder(newTr.DB, newTr.WPerm()))
-			}
 			var ds obdd.DeltaStats
 			m, fW, rec, ds, _, err := obdd.CompileDelta(newTr.DB, newTr.W, newTr.WPerm(), copts,
 				ix.m, ix.rec, identityVarMap(newTr.DB), changed)
@@ -112,7 +104,6 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 				return st, err
 			}
 			ix.commit(newTr, m, fW, rec)
-			ix.noteInheritedOrder(st)
 			st.Duration = time.Since(t0)
 			return st, nil
 		}
@@ -135,12 +126,6 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 
 	oldDB := ix.tr.DB
 	pi := newTr.WPerm()
-	// Same learned-order inheritance as the in-place path; variable ids are
-	// renumbered by re-translation, so the learned order maps through tuple
-	// identity first.
-	if ix.reorder != nil {
-		copts.Order = obdd.MergeOrder(ix.m.Order(), varMapByKey(oldDB, newTr.DB), obdd.TupleOrder(newTr.DB, pi))
-	}
 	var (
 		m   *obdd.Manager
 		fW  obdd.NodeID
@@ -163,22 +148,8 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 	}
 
 	ix.commit(newTr, m, fW, rec)
-	ix.noteInheritedOrder(st)
 	st.Duration = time.Since(t0)
 	return st, nil
-}
-
-// noteInheritedOrder updates the reordering provenance after a structural
-// batch recompiled under the learned order.
-func (ix *Index) noteInheritedOrder(st MaintStats) {
-	if ix.reorder == nil {
-		return
-	}
-	ix.reorder.DeltaReuses++
-	ix.reorder.BlockProvenance = map[string]int{
-		"inherited-reused":     st.Reused,
-		"inherited-recompiled": st.Recompiled,
-	}
 }
 
 // commit installs a maintained translation and its recompiled OBDD:

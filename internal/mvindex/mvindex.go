@@ -95,35 +95,6 @@ type Index struct {
 	// clean blocks. Nil until the first structural mutation batch and after
 	// Compact (which moves NodeIDs).
 	rec *obdd.BlockRecord
-
-	// reorder, when non-nil, records that the index runs under a learned
-	// (sifted) variable order rather than the static Π — either found by
-	// Sift or restored from a snapshot. ApplyMutations then threads the
-	// learned order into delta recompiles via CompileOptions.Order.
-	reorder *ReorderInfo
-}
-
-// ReorderInfo is the reordering provenance of an index: how its learned
-// variable order was obtained and what the sift achieved. Surfaced by the
-// server's /stats and persisted through snapshots so recovery and replica
-// bootstrap skip the search.
-type ReorderInfo struct {
-	Mode        string  `json:"mode"`
-	Provenance  string  `json:"provenance"` // "sifted" | "snapshot"
-	NodesBefore int     `json:"nodes_before"`
-	NodesAfter  int     `json:"nodes_after"`
-	Rounds      int     `json:"rounds"`
-	SiftedVars  int     `json:"sifted_vars"`
-	Swaps       int     `json:"swaps"`
-	SiftMillis  float64 `json:"sift_ms"`
-	// DeltaReuses counts delta recompiles that inherited the learned order
-	// through maintain.go instead of regressing to static Π.
-	DeltaReuses int `json:"delta_reuses"`
-	// BlockProvenance counts chain blocks by how their current order was
-	// obtained: "sifted"/"snapshot" right after a sift or restore,
-	// "inherited-reused"/"inherited-recompiled" after a delta recompile
-	// under the learned order.
-	BlockProvenance map[string]int `json:"block_provenance"`
 }
 
 // Build compiles the MV-index for a translation: it reuses the translation's
@@ -141,120 +112,7 @@ func Build(tr *core.Translation) (*Index, error) {
 		probs: tr.DB.Probs(),
 	}
 	ix.rebuild()
-	if tr.Reorder.Mode != obdd.ReorderOff {
-		if _, err := ix.Sift(tr.Reorder); err != nil {
-			return nil, err
-		}
-	}
 	return ix, nil
-}
-
-// Sift runs a Rudell sifting pass (obdd.Reorder) over the index OBDD with
-// one window per chain block, so variables never cross block boundaries and
-// the chain factorization — with its block-local numerics — survives. On
-// success the index (and its translation) runs on a fresh manager under the
-// learned order; the block record, if any, is remapped so incremental
-// updates keep working. Requires exclusive access, like Reweight and
-// Compact. A no-op when opts.Mode is ReorderOff or ¬W is terminal.
-func (ix *Index) Sift(opts obdd.ReorderOptions) (obdd.ReorderStats, error) {
-	var st obdd.ReorderStats
-	if opts.Mode == obdd.ReorderOff || ix.m.IsTerminal(ix.root) {
-		return st, nil
-	}
-	opts.Windows = ix.blockWindows()
-	roots := []obdd.NodeID{ix.root}
-	var nRec int
-	if ix.rec != nil {
-		nRec = len(ix.rec.Roots)
-		roots = append(roots, ix.rec.Roots...)
-	}
-	nm, nroots, st, err := obdd.Reorder(ix.m, roots, opts)
-	if err != nil {
-		return st, err
-	}
-	ix.m = nm
-	ix.root = nroots[0]
-	if ix.rec != nil {
-		ix.rec.Roots = append([]obdd.NodeID(nil), nroots[1:1+nRec]...)
-	}
-	ix.tr.AttachOBDD(nm, nm.Not(ix.root))
-	ix.rebuild()
-	ix.noteReorder(opts.Mode, st, "sifted")
-	// Cached answers and lineage probabilities stay valid: the represented
-	// functions and weights are unchanged, and the caches never store
-	// NodeIDs — same reasoning as Compact.
-	return st, nil
-}
-
-// blockWindows derives one sifting window per chain block from the current
-// chain levels: [level(root_k), level(root_{k+1})), with the first window
-// extended down to level 0 and the last up to NumVars so every level is
-// covered. Keeping each variable inside its window preserves the
-// convergence points findChain relies on.
-func (ix *Index) blockWindows() [][2]int {
-	if len(ix.chainLevels) == 0 {
-		return nil
-	}
-	n := ix.m.NumVars()
-	wins := make([][2]int, 0, len(ix.chainLevels))
-	for k := range ix.chainLevels {
-		lo := int(ix.chainLevels[k])
-		if k == 0 {
-			lo = 0
-		}
-		hi := n
-		if k+1 < len(ix.chainLevels) {
-			hi = int(ix.chainLevels[k+1])
-		}
-		if hi > lo {
-			wins = append(wins, [2]int{lo, hi})
-		}
-	}
-	return wins
-}
-
-// BlockWindows returns the per-block sifting windows (half-open level
-// ranges) Sift uses: one window per chain block, covering [0, NumVars)
-// contiguously. Callers may use them to construct alternative block-local
-// variable orders — any order that permutes levels only inside these windows
-// preserves the chain factorization and is safe as CompileOptions.Order.
-func (ix *Index) BlockWindows() [][2]int {
-	wins := ix.blockWindows()
-	out := make([][2]int, len(wins))
-	copy(out, wins)
-	return out
-}
-
-// noteReorder records reordering provenance after a sift or restore.
-func (ix *Index) noteReorder(mode obdd.ReorderMode, st obdd.ReorderStats, prov string) {
-	ix.reorder = &ReorderInfo{
-		Mode:            mode.String(),
-		Provenance:      prov,
-		NodesBefore:     st.NodesBefore,
-		NodesAfter:      st.NodesAfter,
-		Rounds:          st.Rounds,
-		SiftedVars:      st.Sifted,
-		Swaps:           st.Swaps,
-		SiftMillis:      float64(st.Duration) / float64(time.Millisecond),
-		BlockProvenance: map[string]int{prov: ix.Blocks()},
-	}
-}
-
-// Reordered reports whether the index runs under a learned (sifted) order.
-func (ix *Index) Reordered() bool { return ix.reorder != nil }
-
-// ReorderInfo returns a copy of the reordering provenance, or nil while the
-// index still uses the static Π order.
-func (ix *Index) ReorderInfo() *ReorderInfo {
-	if ix.reorder == nil {
-		return nil
-	}
-	cp := *ix.reorder
-	cp.BlockProvenance = make(map[string]int, len(ix.reorder.BlockProvenance))
-	for k, v := range ix.reorder.BlockProvenance {
-		cp.BlockProvenance[k] = v
-	}
-	return &cp
 }
 
 // rebuild computes every derived structure from (m, root, probs).

@@ -52,22 +52,6 @@ type CompileOptions struct {
 	// budget.ErrCanceled (deadline). MaxPairs does not apply to compilation.
 	Budget budget.Budget
 
-	// Reorder runs a Rudell sifting pass (sift.go) over the compiled OBDD
-	// when set to ReorderOnce or ReorderConverge: Compile then returns a
-	// fresh manager under the improved order instead of the static Π one.
-	// This is a global (windowless) sift — the MV-index instead sifts per
-	// separator block through mvindex so the chain factorization survives.
-	// MaxGrowth and MaxRounds tune the pass as in ReorderOptions.
-	Reorder   ReorderMode
-	MaxGrowth float64
-	MaxRounds int
-	// Order, when non-nil, overrides the static Π order with a learned
-	// variable order (e.g. one persisted from an earlier sifting pass). It
-	// must be a permutation of exactly the database's tuple variables;
-	// Compile and CompileDelta fail otherwise. This is how delta recompiles
-	// inherit a sifted order instead of re-deriving Π.
-	Order []int
-
 	// blockHook, when set, runs before each per-separator-value block is
 	// compiled (sequentially or on a worker), receiving the block index; a
 	// non-nil return aborts the compile with that error. Test-only fault
@@ -115,50 +99,12 @@ func Compile(db *engine.Database, u ucq.UCQ, pi Perm, opts CompileOptions) (*Man
 	if err := pi.Validate(db); err != nil {
 		return nil, False, CompileStats{}, err
 	}
-	order, err := compileOrder(db, pi, opts)
-	if err != nil {
-		return nil, False, CompileStats{}, err
-	}
-	m := NewManager(order)
+	m := NewManager(TupleOrder(db, pi))
 	f, stats, err := CompileWith(m, db, u, opts)
 	if err != nil {
 		return nil, False, stats, err
 	}
-	if opts.Reorder != ReorderOff {
-		nm, roots, _, rerr := Reorder(m, []NodeID{f}, ReorderOptions{
-			Mode: opts.Reorder, MaxGrowth: opts.MaxGrowth, MaxRounds: opts.MaxRounds,
-			Ctx: opts.Ctx, Budget: opts.Budget,
-		})
-		if rerr != nil {
-			return nil, False, stats, rerr
-		}
-		m, f = nm, roots[0]
-	}
 	return m, f, stats, nil
-}
-
-// compileOrder resolves the variable order for a fresh compile: the static Π
-// order, unless opts.Order overrides it with a learned order over exactly
-// the same variable set.
-func compileOrder(db *engine.Database, pi Perm, opts CompileOptions) ([]int, error) {
-	static := TupleOrder(db, pi)
-	if opts.Order == nil {
-		return static, nil
-	}
-	if len(opts.Order) != len(static) {
-		return nil, fmt.Errorf("obdd: CompileOptions.Order has %d variables, want %d", len(opts.Order), len(static))
-	}
-	set := make(map[int]struct{}, len(static))
-	for _, v := range static {
-		set[v] = struct{}{}
-	}
-	for _, v := range opts.Order {
-		if _, ok := set[v]; !ok {
-			return nil, fmt.Errorf("obdd: CompileOptions.Order names variable %d, which is not a tuple variable of the database", v)
-		}
-		delete(set, v)
-	}
-	return append([]int(nil), opts.Order...), nil
 }
 
 // CompileWith compiles into an existing manager, so a query OBDD can share

@@ -67,11 +67,7 @@ func CompileRecorded(db *engine.Database, u ucq.UCQ, pi Perm, opts CompileOption
 	if err := pi.Validate(db); err != nil {
 		return nil, False, nil, CompileStats{}, err
 	}
-	order, oerr := compileOrder(db, pi, opts)
-	if oerr != nil {
-		return nil, False, nil, CompileStats{}, oerr
-	}
-	m := NewManager(order)
+	m := NewManager(TupleOrder(db, pi))
 	c, disarm := newArmedCompiler(m, db, opts)
 	defer disarm()
 	var f NodeID
@@ -102,11 +98,7 @@ func CompileDelta(db *engine.Database, u ucq.UCQ, pi Perm, opts CompileOptions,
 	if err := pi.Validate(db); err != nil {
 		return nil, False, nil, DeltaStats{}, CompileStats{}, err
 	}
-	order, oerr := compileOrder(db, pi, opts)
-	if oerr != nil {
-		return nil, False, nil, DeltaStats{}, CompileStats{}, oerr
-	}
-	m := NewManager(order)
+	m := NewManager(TupleOrder(db, pi))
 	c, disarm := newArmedCompiler(m, db, opts)
 	defer disarm()
 	var f NodeID
@@ -215,7 +207,7 @@ func (c *compiler) deltaOrFull(u ucq.UCQ, old *Manager, oldRec *BlockRecord,
 	}
 
 	var ds DeltaStats
-	domain, subs, est := c.sepExpand(openU, sep)
+	domain, subs, _ := c.sepExpand(openU, sep)
 	dirty, dirtyAll := dirtyValues(openU, sep, c.detSkip(), changed)
 	oldRoots := make(map[engine.Value]NodeID, len(oldRec.Values))
 	for i, v := range oldRec.Values {
@@ -249,37 +241,23 @@ func (c *compiler) deltaOrFull(u ucq.UCQ, old *Manager, oldRec *BlockRecord,
 		ds.Reused++
 	}
 
-	// Second pass: compile the dirty blocks — through the parallel worker
-	// pool when it pays — and chain everything in the usual descending
-	// order.
-	var toCompile []int
+	// Second pass: compile the dirty blocks in the owner's manager and chain
+	// everything in the usual descending order. A batch dirties a handful of
+	// blocks, so a parallel fan-out (scratch managers, imports) costs more
+	// than it saves here.
 	for i := range subs {
-		if !reused[i] {
-			toCompile = append(toCompile, i)
+		if reused[i] {
+			continue
 		}
-	}
-	ds.Recompiled = len(toCompile)
-	if workers := c.opts.workers(); workers > 1 && len(toCompile) > 1 {
-		masked := make([]ucq.UCQ, len(subs))
-		for _, i := range toCompile {
-			masked[i] = subs[i]
-		}
-		// The chain parallelBlocks builds over the dirty subset is
-		// discarded; only the captured per-block roots are kept.
-		if _, err := c.parallelBlocks(masked, est, workers, roots); err != nil {
+		ds.Recompiled++
+		if err := c.blockCheck(i); err != nil {
 			return False, nil, ds, err
 		}
-	} else {
-		for _, i := range toCompile {
-			if err := c.blockCheck(i); err != nil {
-				return False, nil, ds, err
-			}
-			f, err := c.ucq(subs[i])
-			if err != nil {
-				return False, nil, ds, err
-			}
-			roots[i] = f
+		f, err := c.ucq(subs[i])
+		if err != nil {
+			return False, nil, ds, err
 		}
+		roots[i] = f
 	}
 	acc := False
 	for i := len(subs) - 1; i >= 0; i-- {

@@ -193,6 +193,12 @@ func (m *Manager) ApplyCacheStats() (hits, misses uint64) {
 	return m.cache.hits, m.cache.misses
 }
 
+// UniqueTableStats returns the occupancy and capacity of the manager's
+// unique table; occupied/slots is the load factor surfaced in /stats.
+func (m *Manager) UniqueTableStats() (occupied, slots int) {
+	return m.unique.stats()
+}
+
 // NewScratch creates an empty manager over the same variable order as m,
 // sharing m's (immutable) order tables instead of copying them — the cost is
 // a few small allocations, independent of the number of variables. The

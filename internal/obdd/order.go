@@ -141,60 +141,3 @@ func TupleOrder(db *engine.Database, pi Perm) []int {
 	}
 	return out
 }
-
-// MergeOrder grafts a learned (sifted) variable order onto a mutated
-// database's variable set. mapVar translates old variable ids into the new
-// id space (nil means identity); piOrder is the new database's static Π
-// order. Surviving variables keep their learned relative order; variables
-// new in piOrder are inserted immediately after the nearest survivor that
-// precedes them in piOrder (those before every survivor go first, in piOrder
-// order). Because Π is separator-first, a new tuple's Π-neighbors share its
-// separator value, so insertion lands it inside its own block and clean
-// blocks keep an order ImportMapped accepts. The result is always a
-// permutation of exactly piOrder's variables, so it is safe to pass as
-// CompileOptions.Order.
-func MergeOrder(learned []int, mapVar func(int) (int, bool), piOrder []int) []int {
-	newSet := make(map[int]int, len(piOrder)) // var -> position in piOrder
-	for i, v := range piOrder {
-		newSet[v] = i
-	}
-	survivors := make([]int, 0, len(learned))
-	isSurvivor := make(map[int]bool, len(learned))
-	for _, v := range learned {
-		nv, ok := v, true
-		if mapVar != nil {
-			nv, ok = mapVar(v)
-		}
-		if !ok {
-			continue
-		}
-		if _, in := newSet[nv]; !in || isSurvivor[nv] {
-			continue
-		}
-		survivors = append(survivors, nv)
-		isSurvivor[nv] = true
-	}
-	// Attach each new variable to the survivor preceding it in piOrder.
-	var front []int
-	after := make(map[int][]int)
-	last := -1
-	haveLast := false
-	for _, v := range piOrder {
-		if isSurvivor[v] {
-			last, haveLast = v, true
-			continue
-		}
-		if haveLast {
-			after[last] = append(after[last], v)
-		} else {
-			front = append(front, v)
-		}
-	}
-	out := make([]int, 0, len(piOrder))
-	out = append(out, front...)
-	for _, v := range survivors {
-		out = append(out, v)
-		out = append(out, after[v]...)
-	}
-	return out
-}

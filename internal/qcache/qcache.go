@@ -242,9 +242,12 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (V, bool
 				e := el.Value.(*entry[V])
 				if e.epoch == epoch {
 					s.lru.MoveToFront(el)
+					// Read the value under the lock: a concurrent Put of the
+					// same key overwrites e.val in place.
+					v := e.val
 					s.mu.Unlock()
 					c.hits.Add(1)
-					return e.val, true, nil
+					return v, true, nil
 				}
 				s.removeLocked(el, e)
 			}

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -25,18 +27,41 @@ func vals(vs ...int) []engine.Value {
 	return out
 }
 
+// primaryTS is a primary's test HTTP server. Every request context derives
+// from the server's BaseContext, so cancel ends every open replication
+// stream.
+type primaryTS struct {
+	*httptest.Server
+	cancel context.CancelFunc
+}
+
+// kill stops the primary the way a crash would. The listener closes first,
+// so the follower's tailer cannot reconnect, and cancelling the request
+// contexts ends any stream that is still open: httptest.Server.Close waits
+// for active requests, and a live stream never ends on its own.
+func (p *primaryTS) kill() {
+	p.Listener.Close()
+	p.cancel()
+	p.CloseClientConnections()
+	p.Close()
+}
+
 // replPrimaryServer builds a live primary with replication enabled, served
 // over real HTTP (the follower's fetch loop dials it).
-func replPrimaryServer(t *testing.T, dir string, rcfg ReplicationConfig) (*Server, *Live, *httptest.Server) {
+func replPrimaryServer(t *testing.T, dir string, rcfg ReplicationConfig) (*Server, *Live, *primaryTS) {
 	t.Helper()
 	s, l := liveServer(t, LiveConfig{WALDir: dir, SnapshotPath: filepath.Join(dir, "index.snap"), GroupCommit: 0})
 	if err := s.EnableReplicationPrimary(l, rcfg); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	ts := httptest.NewServer(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	ts := httptest.NewUnstartedServer(s)
+	ts.Config.BaseContext = func(net.Listener) context.Context { return ctx }
+	ts.Start()
 	t.Cleanup(ts.Close)
-	return s, l, ts
+	t.Cleanup(cancel)
+	return s, l, &primaryTS{Server: ts, cancel: cancel}
 }
 
 // replFollowerServer bootstraps a follower of primaryURL and serves it.
@@ -180,8 +205,7 @@ func TestFollowerStaleness503(t *testing.T) {
 		t.Fatalf("fresh follower answer %v want %v", got, exp)
 	}
 	// Kill the primary; heartbeats stop; the bound trips.
-	pts.CloseClientConnections()
-	pts.Close()
+	pts.kill()
 	waitReplication(t, "staleness trip", func() bool {
 		rec, _ := do(t, fs, "POST", "/query", fmt.Sprintf(`{"query": %q}`, boolQ))
 		return rec.Code == http.StatusServiceUnavailable
@@ -218,8 +242,7 @@ func TestPromoteFailover(t *testing.T) {
 	waitReplication(t, "pre-failover catch-up", func() bool { return followerApplied(fs) == 2 })
 
 	// Primary dies mid-stream.
-	pts.CloseClientConnections()
-	pts.Close()
+	pts.kill()
 
 	rec, out := do(t, fs, "POST", "/replication/promote", "")
 	if rec.Code != http.StatusOK {
@@ -281,8 +304,7 @@ func TestPromoteBootstrapOnlySeqLine(t *testing.T) {
 	fs, _, _ := replFollowerServer(t, FollowerConfig{Dir: fdir, PrimaryURL: pts.URL})
 	waitReplication(t, "bootstrap", func() bool { return followerApplied(fs) == 1 })
 
-	pts.CloseClientConnections()
-	pts.Close()
+	pts.kill()
 	if rec, _ := do(t, fs, "POST", "/replication/promote", ""); rec.Code != http.StatusOK {
 		t.Fatalf("promote: %d", rec.Code)
 	}
@@ -610,8 +632,7 @@ func TestPromoteStopsFollowerSnapshotter(t *testing.T) {
 	// the snapshot file.
 	time.Sleep(60 * time.Millisecond)
 
-	pts.CloseClientConnections()
-	pts.Close()
+	pts.kill()
 	if rec, _ := do(t, fs, "POST", "/replication/promote", ""); rec.Code != http.StatusOK {
 		t.Fatalf("promote: %d", rec.Code)
 	}

@@ -486,9 +486,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"role":                  role(s.role.Load()).String(),
 		"term":                  s.term.Load(),
 	}
-	if ri := s.ix.ReorderInfo(); ri != nil {
-		out["reorder"] = ri
-	}
 	if l := s.live.Load(); l != nil {
 		out["live"] = l.stats()
 	}

@@ -13,7 +13,6 @@ import (
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
 	"mvdb/internal/mvindex"
-	"mvdb/internal/obdd"
 	"mvdb/internal/qcache"
 	"mvdb/internal/ucq"
 )
@@ -204,8 +203,7 @@ func TestStatsAndHealth(t *testing.T) {
 
 // TestStatsDerivedRatios pins the derived-ratio fields of /stats: the
 // apply-cache hit rate and the unique-table load factor must be present and
-// in [0, 1] (load strictly positive — the manager always holds nodes), and a
-// sifted index must surface its reorder provenance.
+// in [0, 1] (load strictly positive — the manager always holds nodes).
 func TestStatsDerivedRatios(t *testing.T) {
 	db := engine.NewDatabase()
 	db.MustCreateRelation("Adv", false, "s", "a")
@@ -225,7 +223,6 @@ func TestStatsDerivedRatios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Reorder = obdd.ReorderOptions{Mode: obdd.ReorderConverge}
 	ix, err := mvindex.Build(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -253,26 +250,6 @@ func TestStatsDerivedRatios(t *testing.T) {
 	}
 	if out["unique_table_load"].(float64) <= 0 {
 		t.Fatalf("unique_table_load = %v, want > 0", out["unique_table_load"])
-	}
-	ri, ok := out["reorder"].(map[string]any)
-	if !ok {
-		t.Fatalf("/stats missing reorder block on a sifted index: %v", out)
-	}
-	if ri["mode"] != "converge" || ri["provenance"] != "sifted" {
-		t.Fatalf("reorder block = %v", ri)
-	}
-	if ri["nodes_before"].(float64) < ri["nodes_after"].(float64) {
-		t.Fatalf("reorder grew the index: %v", ri)
-	}
-	if _, ok := ri["block_provenance"].(map[string]any); !ok {
-		t.Fatalf("reorder block lacks block_provenance: %v", ri)
-	}
-
-	// An unsifted index must NOT have the reorder block.
-	s2, _ := testServer(t)
-	_, out2 := do(t, s2, "GET", "/stats", "")
-	if _, present := out2["reorder"]; present {
-		t.Fatalf("unsifted index reports reorder: %v", out2["reorder"])
 	}
 }
 
